@@ -9,11 +9,14 @@ performance tracking):
   ordering the docs and the default flip are justified by — in particular
   the Figure-8 panel (b) engine comparison must show the bit-packed scan
   at least 1.2x faster than the batched scan (the fused multi-event
-  drain's acceptance ratio);
+  drain's acceptance ratio), and the reduced burstiness sweep at least
+  1.5x faster than its recorded RNG-scheme-4 row (split-invariant
+  Gilbert–Elliott loss);
 * a *live* re-measurement (``-m slow``, run with the other scale
   benchmarks) must land inside a generous tolerance band of the recorded
-  medians, so a silent performance cliff in either scan engine fails the
-  bench step instead of shipping unnoticed.
+  medians, so a silent performance cliff in either scan engine or in the
+  Gilbert–Elliott loss layer fails the bench step instead of shipping
+  unnoticed.
 
 The band is wide (``ENVELOPE = 4``) because shared CI machines jitter by
 integer factors; the test is a cliff detector, not a microbenchmark.
@@ -44,6 +47,12 @@ FIGURE8_PANELS = (
 LARGE_SCALE = (
     "test_bench_water_filling_scalefree_csr",
 )
+EXTENSIONS = (
+    "test_bench_extension_burstiness",
+)
+#: The burstiness row recorded on the same machine before Gilbert–Elliott
+#: loss became split-invariant (RNG scheme 4: sampled once per time unit).
+BURSTINESS_SCHEME_4 = "test_bench_extension_burstiness[rng-scheme-4]"
 ENVELOPE = 4.0
 
 
@@ -58,7 +67,7 @@ class TestRecordedBaseline:
 
     def test_baseline_records_every_tracked_benchmark(self):
         stats = _recorded_stats()
-        for name in ENGINE_COMPARISON + FIGURE8_PANELS + LARGE_SCALE:
+        for name in ENGINE_COMPARISON + FIGURE8_PANELS + LARGE_SCALE + EXTENSIONS:
             assert name in stats, f"BENCH_core.json lost {name}"
             for field in ("mean", "median", "min"):
                 assert stats[name][field] > 0.0
@@ -82,6 +91,15 @@ class TestRecordedBaseline:
         batched = stats["test_bench_figure8_engine_comparison[batched]"]["mean"]
         bitpacked = stats["test_bench_figure8_engine_comparison[bitpacked]"]["mean"]
         assert batched / bitpacked >= 1.2
+
+    def test_recorded_burstiness_speedup_meets_target(self):
+        # Split-invariant GE loss (one sampling call per receiver per chunk
+        # instead of per unit): the reduced burstiness sweep must be at
+        # least 1.5x faster than its scheme-4 row from the same machine.
+        stats = _recorded_stats()
+        before = stats[BURSTINESS_SCHEME_4]["median"]
+        after = stats["test_bench_extension_burstiness"]["median"]
+        assert before / after >= 1.5
 
     def test_recorded_compiled_speedup_meets_target(self):
         # The compiled (numba) row only exists in baselines regenerated on
@@ -116,6 +134,16 @@ class TestLiveEnvelope:
         )
         assert recorded / ENVELOPE <= elapsed <= recorded * ENVELOPE, (
             f"{engine} panel (b) took {elapsed:.3f}s; recorded median "
+            f"{recorded:.3f}s (envelope x{ENVELOPE})"
+        )
+
+    def test_burstiness_within_envelope(self):
+        from repro.experiments import run_burstiness
+
+        recorded = _recorded_stats()["test_bench_extension_burstiness"]["median"]
+        elapsed = _timed(run_burstiness)
+        assert recorded / ENVELOPE <= elapsed <= recorded * ENVELOPE, (
+            f"burstiness took {elapsed:.3f}s; recorded median "
             f"{recorded:.3f}s (envelope x{ENVELOPE})"
         )
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from scipy import stats as scipy_stats
-
 from ..errors import ExperimentError
 
 __all__ = [
@@ -95,7 +93,12 @@ def _t_half_width(data: Sequence[float], confidence: float) -> float:
     se = standard_error(data)
     if se == 0.0:
         return 0.0
-    quantile = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=len(data) - 1)
+    # Imported here: scipy dominates the CLI's cold start and this Student-t
+    # quantile is its only use.  ``stdtrit`` is the function
+    # ``scipy.stats.t.ppf`` evaluates, without loading ``scipy.stats``.
+    from scipy.special import stdtrit
+
+    quantile = stdtrit(len(data) - 1, 0.5 + confidence / 2.0)
     return float(quantile) * se
 
 

@@ -43,8 +43,8 @@ protocols are receiver-local and the random stream is pre-sampled
 state-independently.  Protocols that do not implement the batched hooks
 transparently fall back to the reference loop.
 
-**Counter-based randomness (RNG scheme 4).**  Every run derives a family
-of independent Philox streams from one ``SeedSequence`` (see
+**Counter-based randomness (RNG schemes 4 and 5).**  Every run derives a
+family of independent Philox streams from one ``SeedSequence`` (see
 :mod:`repro.simulator.rng`): shared-link loss outcomes, independent
 (fan-out) loss outcomes, and protocol randomness each live in their own
 counter-keyed stream, and the Uncoordinated protocol's join uniforms are
@@ -52,16 +52,17 @@ keyed per receiver and consumed one draw per packet the receiver actually
 receives.  Separating the streams removes the per-unit interleaving of
 schemes 2/3: the batched engine samples whole chunks of each loss stream
 in single calls, while the reference loop samples unit by unit from the
-same streams — bit-identical by the split-invariance of the memoryless
-processes (stateful processes such as Gilbert–Elliott stay unit-granular
-in both engines).  Per-receiver join-draw streams are what let the batched
-scan materialise only the draws its receivers reach instead of the full
-receiver x scheduled-packet matrix.  Scheme 2 introduced per-unit loss
-pre-sampling, scheme 3 pre-sampled the Uncoordinated join draws
-receiver-major per unit, and scheme 4 is the counter-based layout
-described here; seeded results are reproducible within a scheme version
-(and across engines, chunk sizes and process counts) but differ across
-versions — deliberate, version-bumped changes.  Statistically the
+same streams — bit-identical because every loss process is
+split-invariant (since scheme 5 Gilbert–Elliott too, see
+:mod:`repro.simulator.loss`).  Per-receiver join-draw streams are what let
+the batched scan materialise only the draws its receivers reach instead
+of the full receiver x scheduled-packet matrix.  Scheme 2 introduced
+per-unit loss pre-sampling, scheme 3 pre-sampled the Uncoordinated join
+draws receiver-major per unit, scheme 4 is the counter-based layout
+described here, and scheme 5 draws Gilbert–Elliott sojourns in
+split-invariant batches; seeded results are reproducible within a scheme
+version (and across engines, chunk sizes and process counts) but differ
+across versions — deliberate, version-bumped changes.  Statistically the
 processes are unchanged; Gilbert–Elliott burst state still advances once
 per scheduled packet, i.e. with link time.
 """
@@ -104,10 +105,12 @@ __all__ = [
 #: to 4 for the counter-based Philox scheme (independent per-run streams
 #: for shared loss / independent loss / protocol draws, per-receiver join
 #: draws consumed per received packet, single-precision Bernoulli arrays,
-#: and ``SeedSequence.spawn``-derived replicate seeds); seeded results are
+#: and ``SeedSequence.spawn``-derived replicate seeds), and to 5 when
+#: Gilbert–Elliott loss became split-invariant (sojourns drawn in fixed
+#: batches, so the engines sample it once per chunk); seeded results are
 #: reproducible within a version (and across engines) but differ across
 #: versions.
-RNG_SCHEME_VERSION = 4
+RNG_SCHEME_VERSION = 5
 
 # The engine registry (``ENGINES``, plus the scan/packed subsets and the
 # per-engine backend-ops factory) lives in :mod:`repro.protocols.kernel` —
@@ -345,7 +348,7 @@ class LayeredSessionSimulator:
         Returns ``(shared, independent)`` with ``shared`` of shape
         ``(num_packets,)`` and ``independent`` receiver-major of shape
         ``(num_receivers, num_packets)``.  Each quantity is drawn from its
-        own stream (RNG scheme 4): the shared link from the context's
+        own stream (RNG scheme 5): the shared link from the context's
         shared stream, a single independent-loss process receiver-major
         within the unit from the independent stream, and per-receiver
         process lists from one spawned stream per receiver.
@@ -367,26 +370,6 @@ class LayeredSessionSimulator:
             )
         return shared, independent
 
-    @staticmethod
-    def _chunk_positions(process, rng, num_units: int, stride: int) -> np.ndarray:
-        """Loss positions over ``num_units`` consecutive blocks of ``stride``.
-
-        Split-invariant processes yield the whole span in one call;
-        stateful ones are consumed block by block — exactly the words the
-        reference loop's per-unit sampling reads from the same stream, so
-        seeded results are engine- and chunk-size-independent.
-        """
-        if process.splittable:
-            return process.sample_positions(rng, num_units * stride)
-        parts = []
-        for unit in range(num_units):
-            positions = process.sample_positions(rng, stride)
-            if positions.size:
-                parts.append(positions + unit * stride)
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
     def _scatter_chunk_losses(
         self,
         context: "_RunContext",
@@ -402,64 +385,42 @@ class LayeredSessionSimulator:
         clears them out of the pre-set ``receivable`` matrix instead of
         materialising dense per-packet outcome matrices; the dense forms
         are only filled in for protocols that declare
-        ``needs_dense_losses``.  Under ``engine="bitpacked"`` the block is
-        a uint64 word matrix and the positions are scattered straight into
-        the packed words (one cleared bit per lost packet) — the stream
-        consumption is identical either way.
+        ``needs_dense_losses``.  Every loss process is split-invariant, so
+        each stream is sampled once for the whole chunk: the values equal
+        what the reference loop reads unit by unit.  Under
+        ``engine="bitpacked"`` the block is a uint64 word matrix and the
+        shared columns plus every receiver's ``(row, column)`` positions
+        are cleared in one fused sweep — the stream consumption is
+        identical either way.
         """
         n = num_units * packets_per_unit
         receivers = self.num_receivers
         streams = context.streams
-        packed = receivable_block.dtype == np.uint64
-        shared_cols = self._chunk_positions(
-            context.shared_loss, streams.shared_rng, num_units, packets_per_unit
-        )
-        fuse = packed and len(context.per_receiver_loss) == 1
-        if shared_cols.size:
-            # The packed single-process path folds the shared-column clears
-            # into the independent scatter's row sweep below; everything
-            # else applies them immediately.
-            if packed and not fuse:
-                bitpack.clear_cols(receivable_block, shared_cols)
-            elif not packed:
-                receivable_block[:, shared_cols] = False
-            if shared_dense is not None:
-                shared_dense[shared_cols] = True
+        shared_cols = context.shared_loss.sample_positions(streams.shared_rng, n)
         if len(context.per_receiver_loss) == 1:
-            flat = self._chunk_positions(
-                context.per_receiver_loss[0],
-                streams.independent_rng,
-                num_units,
-                packets_per_unit * receivers,
+            flat = context.per_receiver_loss[0].sample_positions(
+                streams.independent_rng, n * receivers
             )
-            if flat.size:
-                # Flattened (unit, receiver, packet) order -> (row, column).
-                unit_index, remainder = np.divmod(flat, receivers * packets_per_unit)
-                row, packet = np.divmod(remainder, packets_per_unit)
-                column = unit_index * packets_per_unit + packet
-                if packed:
-                    bitpack.clear_cols_and_bits(
-                        receivable_block, shared_cols, row, column
-                    )
-                else:
-                    receivable_block[row, column] = False
-                if independent_dense is not None:
-                    independent_dense[row, column] = True
-            elif fuse and shared_cols.size:
-                bitpack.clear_cols(receivable_block, shared_cols)
+            # Flattened (unit, receiver, packet) order -> (row, column).
+            unit_index, remainder = np.divmod(flat, receivers * packets_per_unit)
+            row, packet = np.divmod(remainder, packets_per_unit)
+            column = unit_index * packets_per_unit + packet
         else:
             pairs = zip(context.per_receiver_loss, streams.independent_rngs)
-            for row, (process, rng) in enumerate(pairs):
-                columns = self._chunk_positions(
-                    process, rng, num_units, packets_per_unit
-                )
-                if columns.size:
-                    if packed:
-                        bitpack.clear_cols(receivable_block[row:row + 1], columns)
-                    else:
-                        receivable_block[row, columns] = False
-                    if independent_dense is not None:
-                        independent_dense[row, columns] = True
+            columns = [process.sample_positions(rng, n) for process, rng in pairs]
+            column = np.concatenate(columns)
+            row = np.repeat(
+                np.arange(receivers), [positions.size for positions in columns]
+            )
+        if receivable_block.dtype == np.uint64:
+            bitpack.clear_cols_and_bits(receivable_block, shared_cols, row, column)
+        else:
+            receivable_block[:, shared_cols] = False
+            receivable_block[row, column] = False
+        if shared_dense is not None:
+            shared_dense[shared_cols] = True
+        if independent_dense is not None:
+            independent_dense[row, column] = True
 
     # ------------------------------------------------------------------
     # simulation
@@ -773,9 +734,9 @@ class LayeredSessionSimulator:
         """Pre-sample one chunk's randomness and package it for the scan.
 
         Each run's loss outcomes come from its own counter-based streams
-        (RNG scheme 4): split-invariant processes are drawn for the whole
-        chunk in one call, stateful ones unit by unit — either way the
-        values equal what the reference loop reads from the same streams,
+        (RNG scheme 5): every loss process is split-invariant, so each
+        stream is drawn for the whole chunk in one call — the values equal
+        what the reference loop reads from the same streams unit by unit,
         and stacked runs preserve each run's solo stream exactly.
         """
         packets_per_unit = self.schedule.packets_per_unit

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -121,3 +124,37 @@ class TestJainIndex:
     def test_bounded(self, values):
         index = jain_fairness_index(values)
         assert 1.0 / len(values) - 1e-9 <= index <= 1.0 + 1e-9
+
+
+def _fresh_interpreter_exit_code(probe: str) -> int:
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", probe], env=env).returncode
+
+
+def test_importing_the_registry_leaves_scipy_stats_unloaded():
+    # ``scipy.stats`` dominates the CLI's cold start; only the Student-t
+    # quantile needs it, so it must load lazily (checked in a fresh
+    # interpreter, since this one has long imported it).
+    probe = (
+        "import sys, repro, repro.experiments.registry; "
+        "sys.exit('scipy.stats' in sys.modules)"
+    )
+    assert _fresh_interpreter_exit_code(probe) == 0
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 30, 101])
+@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+def test_half_width_matches_scipy_stats_t_quantile_exactly(size, confidence):
+    # The lazily imported ``stdtrit`` must reproduce ``scipy.stats.t.ppf``
+    # bit for bit, or stored confidence intervals would drift.
+    from scipy import stats as scipy_stats
+
+    values = [float(v) for v in np.random.default_rng(size).random(size)]
+    low, high = confidence_interval(values, confidence=confidence)
+    quantile = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=size - 1)
+    half_width = float(quantile) * standard_error(values)
+    assert (low, high) == (mean(values) - half_width, mean(values) + half_width)

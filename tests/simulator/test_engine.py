@@ -249,7 +249,7 @@ class TestDegenerateRedundancy:
 
 
 class TestPerRunIsolation:
-    """RNG scheme 4: a seeded run depends only on its seed — never on what
+    """Since RNG scheme 4 a seeded run depends only on its seed — never on what
     earlier runs consumed from a (stateful) loss process."""
 
     def test_gilbert_elliott_rerun_is_identical(self):

@@ -6,7 +6,7 @@ optional numba ``compiled`` lowering (NumPy packed fallback when numba is
 absent) — must reproduce each other *exactly* for any seed: all of them
 lower the one :class:`repro.protocols.kernel.ScanKernel` decision sequence
 and consume the same pre-sampled counter-based random streams
-(``RNG_SCHEME_VERSION = 4``), so every measured quantity — shared-link
+(``RNG_SCHEME_VERSION = 5``), so every measured quantity — shared-link
 packet counts, per-receiver reception counts, and the subscription-level
 statistics — has to match to the last bit.  The same holds for the stacked
 fast paths (``run_many``, ``simulate_session_group`` and
@@ -82,6 +82,35 @@ def _simulator(protocol_name, engine, shared=0.01, independent=0.05,
     )
 
 
+#: Gilbert–Elliott placements: a list of per-receiver processes (classic
+#: 0/1 in-state rates, or rates strictly inside (0, 1)), one process shared
+#: by every receiver's fan-out link, and GE on the shared link.
+GE_LAYOUTS = ("per-receiver", "per-receiver-mixed", "single", "shared")
+GE_CHUNK_UNITS = (1, 3, 8, 64)
+
+
+def _bursty(protocol_name, engine, layout, num_receivers=9, chunk_units=None):
+    def ge():
+        if layout == "per-receiver-mixed":
+            return GilbertElliottLoss(0.03, 0.3, loss_good=0.01, loss_bad=0.6)
+        return GilbertElliottLoss(0.02, 0.3)
+
+    if layout.startswith("per-receiver"):
+        independent = [ge() for _ in range(num_receivers)]
+    else:
+        independent = ge() if layout == "single" else BernoulliLoss(0.05)
+    return LayeredSessionSimulator(
+        protocol=make_protocol(protocol_name),
+        num_receivers=num_receivers,
+        shared_loss=GilbertElliottLoss(0.01, 0.4) if layout == "shared" else BernoulliLoss(0.01),
+        independent_loss=independent,
+        scheme=ExponentialLayerScheme(6),
+        duration_units=96,
+        engine=engine,
+        chunk_units=chunk_units,
+    )
+
+
 def assert_identical(reference, candidate):
     assert candidate.shared_link_packets == reference.shared_link_packets
     assert np.array_equal(candidate.receiver_packets, reference.receiver_packets)
@@ -129,14 +158,20 @@ class TestEngineEquivalence:
             assert_identical(reference, candidate)
 
     @pytest.mark.parametrize("engine", SCAN_ENGINES)
-    @pytest.mark.parametrize("seed", SEEDS[:5])
-    def test_bursty_per_receiver_losses_match_reference(self, seed, engine):
-        def bursty(which):
-            processes = [GilbertElliottLoss(0.02, 0.3) for _ in range(9)]
-            return _simulator(
-                "deterministic", which, num_receivers=9, independent_loss=processes
-            )
-        assert_identical(bursty("reference").run(seed=seed), bursty(engine).run(seed=seed))
+    @pytest.mark.parametrize("layout", GE_LAYOUTS)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_bursty_losses_match_reference(self, protocol, layout, engine):
+        # Split-invariant GE (RNG scheme 5): the scan engines sample each
+        # stream once per chunk, the reference loop once per unit — any
+        # chunk size, solo or stacked, must read the same outcomes.
+        seeds = SEEDS[:3]
+        reference = [_bursty(protocol, "reference", layout).run(seed=s) for s in seeds]
+        for chunk_units in GE_CHUNK_UNITS:
+            simulator = _bursty(protocol, engine, layout, chunk_units=chunk_units)
+            for seed, expected in zip(seeds, reference):
+                assert_identical(expected, simulator.run(seed=seed))
+            for expected, stacked in zip(reference, simulator.run_many(seeds)):
+                assert_identical(expected, stacked)
 
     def test_every_engine_is_explicitly_selectable(self):
         for engine in ENGINES:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import BernoulliLoss, GilbertElliottLoss, NoLoss
+from repro.simulator import BernoulliLoss, GilbertElliottLoss, LossProcess, NoLoss
 
 
 class TestNoLoss:
@@ -111,16 +111,36 @@ class TestSamplePositions:
         assert NoLoss().sample_positions(rng, 50).size == 0
 
 
-class TestSplitInvariance:
-    """RNG scheme 4 contract: split-invariant (``splittable``) processes
-    produce bit-identical outcomes however the packets are partitioned into
-    calls, which is what lets the batched engine sample whole chunks while
-    the reference engine samples unit by unit."""
+def _partitioned(process, seed, total, partition_rng):
+    """Loss positions of ``total`` packets drawn in random-sized calls."""
+    rng = np.random.default_rng(seed)
+    parts, done = [], 0
+    while done < total:
+        step = min(int(partition_rng.integers(0, 300)), total - done)
+        parts.append(process.sample_positions(rng, step) + done)
+        done += step
+    return np.concatenate(parts)
 
-    def test_flags(self):
-        assert BernoulliLoss(0.1).splittable
-        assert NoLoss().splittable
-        assert not GilbertElliottLoss(0.1, 0.5).splittable
+
+#: Gilbert–Elliott configurations of the split-invariance suite:
+#: (p_good_to_bad, p_bad_to_good, loss_good, loss_bad).
+GE_CONFIGS = [
+    (0.02, 0.3, 0.0, 1.0),  # classic: runs expand with no further draws
+    (0.1, 0.4, 1.0, 0.0),  # good state lossy, bad state clean
+    (0.05, 0.25, 0.1, 0.9),  # in-state rates strictly inside (0, 1)
+    (0.3, 0.6, 0.0, 0.5),  # one rate in {0, 1}, one inside
+    (1.0, 1.0, 0.0, 1.0),  # empty first good run, alternating packets
+    (0.0, 0.5, 0.2, 1.0),  # p_good_to_bad = 0: one infinite good run
+    (0.0, 0.0, 1.0, 1.0),
+    (0.0, 0.0, 0.0, 0.0),
+]
+
+
+class TestSplitInvariance:
+    """RNG scheme 5 contract: every loss process produces bit-identical
+    outcomes however the packets are partitioned into calls, which is what
+    lets the bit-packed engine sample whole chunks while the reference
+    engine samples unit by unit."""
 
     @pytest.mark.parametrize("probability", [0.01, 0.2, 0.9])
     def test_bernoulli_outcomes_independent_of_call_granularity(self, probability):
@@ -138,6 +158,43 @@ class TestSplitInvariance:
                 remaining -= step
             assert np.array_equal(np.concatenate(parts), whole)
 
+    @pytest.mark.parametrize("config", GE_CONFIGS, ids=str)
+    def test_gilbert_elliott_outcomes_independent_of_call_granularity(self, config):
+        # Long enough for several sojourn refills (and, with p_good_to_bad
+        # = 0, several stretches of the infinite run) per partition.
+        total = 150_000
+        for seed in range(3):
+            whole = GilbertElliottLoss(*config).sample_positions(
+                np.random.default_rng(seed), total
+            )
+            partition_rng = np.random.default_rng(100 + seed)
+            for _ in range(3):
+                parts = _partitioned(
+                    GilbertElliottLoss(*config), seed, total, partition_rng
+                )
+                assert np.array_equal(parts, whole)
+
+    @pytest.mark.parametrize(
+        "make", [NoLoss, lambda: BernoulliLoss(0.07), lambda: GilbertElliottLoss(0.05, 0.3)]
+    )
+    def test_dense_and_sparse_calls_interleave(self, make):
+        # sample_array and sample_positions share one stream position, so
+        # mixing them mid-stream still matches one whole-span call.
+        total = 20_000
+        whole = make().sample_positions(np.random.default_rng(4), total)
+        process, rng = make(), np.random.default_rng(4)
+        partition_rng = np.random.default_rng(5)
+        parts, done = [], 0
+        while done < total:
+            step = min(int(partition_rng.integers(0, 500)), total - done)
+            if partition_rng.random() < 0.5:
+                lost = np.nonzero(process.sample_array(rng, step))[0]
+            else:
+                lost = process.sample_positions(rng, step)
+            parts.append(lost + done)
+            done += step
+        assert np.array_equal(np.concatenate(parts), whole)
+
     def test_copy_resets_carried_gap(self):
         process = BernoulliLoss(0.3)
         process.sample_array(np.random.default_rng(0), 100)
@@ -148,13 +205,78 @@ class TestSplitInvariance:
             clone.sample_array(rng_a, 200), fresh.sample_array(rng_b, 200)
         )
 
+    @pytest.mark.parametrize("config", GE_CONFIGS, ids=str)
+    def test_gilbert_elliott_copy_resets_carried_state(self, config):
+        # Mid-run state (queued losses, the in-progress run, the first-run
+        # offset) must not leak into a copy: it samples like a fresh process.
+        process = GilbertElliottLoss(*config)
+        process.sample_positions(np.random.default_rng(0), 12_345)
+        clone = process.copy()
+        fresh = GilbertElliottLoss(*config)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(
+            clone.sample_positions(rng_a, 30_000), fresh.sample_positions(rng_b, 30_000)
+        )
+
+
+class TestNegativeCounts:
+    """A negative packet count is a caller bug: it must raise, and must not
+    shift the carried state (which would silently corrupt later draws)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [NoLoss, lambda: BernoulliLoss(0.2), lambda: BernoulliLoss(0.0),
+         lambda: GilbertElliottLoss(0.05, 0.3),
+         lambda: GilbertElliottLoss(0.0, 0.5, 0.3, 1.0)],
+    )
+    def test_negative_n_is_rejected_without_side_effects(self, make):
+        process, rng = make(), np.random.default_rng(2)
+        first = process.sample_positions(rng, 50)
+        with pytest.raises(SimulationError):
+            process.sample_positions(rng, -5)
+        with pytest.raises(SimulationError):
+            process.sample_array(rng, -5)
+        rest = process.sample_positions(rng, 500)
+        fresh = make().sample_positions(np.random.default_rng(2), 550)
+        assert np.array_equal(np.concatenate([first, rest + 50]), fresh)
+
+    def test_base_per_packet_loop_rejects_negative_n(self):
+        class Coin(LossProcess):
+            def sample(self, rng):
+                return bool(rng.random() < 0.5)
+
+        with pytest.raises(SimulationError):
+            Coin().sample_positions(np.random.default_rng(0), -1)
+        assert Coin().sample_array(np.random.default_rng(0), 0).size == 0
+
+
+def _runs(outcomes):
+    """Lengths of the maximal runs of True in a boolean sequence."""
+    padded = np.concatenate([[False], outcomes, [False]]).astype(np.int8)
+    edges = np.diff(padded)
+    return np.nonzero(edges == -1)[0] - np.nonzero(edges == 1)[0]
+
 
 class TestGilbertElliottSojournConstruction:
-    """Statistical proof obligations for the block (sojourn) construction:
-    ``sample_array`` must match ``sample``'s marginal loss rate and advance
-    the chain exactly ``n`` steps — including with ``loss_good > 0``."""
+    """Statistical proof obligations for the split-invariant sojourn
+    construction: short calls must carry the chain state across call
+    boundaries, the burst (bad-run) lengths must be ``Geom(p_bad_to_good)``
+    and the marginal loss rate must match the stationary distribution —
+    including with ``loss_good > 0``."""
 
     PARAMS = dict(p_good_to_bad=0.05, p_bad_to_good=0.25, loss_good=0.1, loss_bad=0.9)
+    #: Same chain, but the state is observable: a packet is lost iff bad.
+    OBSERVABLE = dict(p_good_to_bad=0.05, p_bad_to_good=0.25, loss_good=0.0, loss_bad=1.0)
+
+    def test_transition_happens_before_the_loss_draw(self):
+        # With both switch probabilities 1 the first good run is empty and
+        # every run lasts one packet: packet 0 is already in the bad state.
+        for loss_good, loss_bad, first in ((0.0, 1.0, True), (1.0, 0.0, False)):
+            process = GilbertElliottLoss(1.0, 1.0, loss_good=loss_good, loss_bad=loss_bad)
+            rng = np.random.default_rng(0)
+            outcomes = np.concatenate([process.sample_array(rng, 7) for _ in range(300)])
+            expected = np.resize([first, not first], outcomes.size)
+            assert np.array_equal(outcomes, expected)
 
     def test_marginal_loss_rate_matches_scalar_sampling(self):
         rng = np.random.default_rng(17)
@@ -167,20 +289,48 @@ class TestGilbertElliottSojournConstruction:
         assert block_rate == pytest.approx(scalar.average_loss_rate, abs=0.01)
         assert scalar_rate == pytest.approx(scalar.average_loss_rate, abs=0.01)
 
-    def test_chain_state_advance_matches_stationary_occupancy(self):
-        # After many n-step blocks, the fraction of time the chain parks in
-        # the bad state must match the stationary distribution, proving the
-        # sojourn blocks advance the state like n scalar steps would.
+    def test_chain_state_after_short_calls_matches_stationary_occupancy(self):
+        # After many 29-packet calls, the fraction of calls whose last
+        # packet is lost (i.e. that end in the bad state) must match the
+        # stationary distribution, and the next call's first packet must
+        # stay bad with probability 1 - p_bad_to_good: the carried state
+        # advances exactly like n scalar steps would, across call edges.
         rng = np.random.default_rng(23)
-        process = GilbertElliottLoss(**self.PARAMS)
-        stationary_bad = process.p_good_to_bad / (
-            process.p_good_to_bad + process.p_bad_to_good
-        )
-        ends_bad = []
-        for _ in range(4000):
-            process.sample_array(rng, 29)
-            ends_bad.append(process._in_bad_state)
-        assert np.mean(ends_bad) == pytest.approx(stationary_bad, abs=0.02)
+        process = GilbertElliottLoss(**self.OBSERVABLE)
+        stationary_bad = process.average_loss_rate
+        blocks = np.array([process.sample_array(rng, 29) for _ in range(8000)])
+        ends_bad = blocks[:-1, -1]
+        starts_bad = blocks[1:, 0]
+        assert ends_bad.mean() == pytest.approx(stationary_bad, abs=0.02)
+        stay_bad = starts_bad[ends_bad].mean()
+        leave_good = starts_bad[~ends_bad].mean()
+        assert stay_bad == pytest.approx(1.0 - process.p_bad_to_good, abs=0.04)
+        assert leave_good == pytest.approx(process.p_good_to_bad, abs=0.01)
+
+    @pytest.mark.parametrize("p_bad_to_good", [0.5, 0.25, 0.125])
+    def test_burst_lengths_are_geometric(self, p_bad_to_good):
+        # The burstiness experiment's parametrisation: mean burst length
+        # 1 / p_bad_to_good at a 5 % average loss rate, drawn in short calls.
+        p_good_to_bad = 0.05 * p_bad_to_good / 0.95
+        process = GilbertElliottLoss(p_good_to_bad, p_bad_to_good)
+        rng = np.random.default_rng(int(1 / p_bad_to_good))
+        outcomes = np.concatenate([process.sample_array(rng, 61) for _ in range(20_000)])
+        bursts = _runs(outcomes)[1:-1]  # drop the runs cut by the span edges
+        gaps = _runs(~outcomes)[1:-1]
+        assert bursts.size > 1000
+        assert bursts.mean() == pytest.approx(1.0 / p_bad_to_good, rel=0.05)
+        assert np.mean(bursts == 1) == pytest.approx(p_bad_to_good, abs=0.03)
+        assert gaps.mean() == pytest.approx(1.0 / p_good_to_bad, rel=0.06)
+        assert outcomes.mean() == pytest.approx(process.average_loss_rate, rel=0.06)
+
+    @pytest.mark.parametrize(
+        "config", [c for c in GE_CONFIGS if 0.0 < c[2] < 1.0 or 0.0 < c[3] < 1.0], ids=str
+    )
+    def test_marginal_loss_rate_with_in_state_gap_sampling(self, config):
+        process = GilbertElliottLoss(*config)
+        rng = np.random.default_rng(41)
+        outcomes = np.concatenate([process.sample_array(rng, 997) for _ in range(300)])
+        assert outcomes.mean() == pytest.approx(process.average_loss_rate, abs=0.01)
 
     def test_burstiness_survives_block_sampling(self):
         rng = np.random.default_rng(31)
