@@ -65,6 +65,29 @@ def test_bench_water_filling_scalefree_csr(benchmark):
     assert benchmark.stats.stats.max < 10.0
 
 
+def build_scalefree_network_pair(graph):
+    """Place and route 300 sessions x 8 receivers, then the single-rate copy."""
+    network = Network.from_graph(graph, num_sessions=300, receivers_per_session=8, seed=7)
+    return network, network.with_all_single_rate()
+
+
+def test_bench_network_build_scalefree(benchmark):
+    """Routing at scale: ``waterfill_scale``'s heavy op without water-filling.
+
+    Each round routes on a freshly generated 5 000-node Barabasi-Albert
+    graph (generated outside the timer), so the cached adjacency is built
+    inside the measurement.
+    """
+    network, single = benchmark.pedantic(
+        build_scalefree_network_pair,
+        setup=lambda: ((barabasi_albert(5000, 2, seed=7),), {}),
+        rounds=5,
+        iterations=1,
+    )
+    assert network.num_receivers == single.num_receivers == 2400
+    assert single.single_rate_session_ids() == frozenset(range(300))
+
+
 @pytest.mark.parametrize("method", ["vectorized", "reference"])
 def test_bench_water_filling_method_comparison(benchmark, method):
     """Reference-vs-vectorised on one mid-sized network (speedup tracking)."""

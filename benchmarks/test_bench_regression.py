@@ -11,12 +11,13 @@ performance tracking):
   at least 1.2x faster than the batched scan (the fused multi-event
   drain's acceptance ratio), and the reduced burstiness sweep at least
   1.5x faster than its recorded RNG-scheme-4 row (split-invariant
-  Gilbert–Elliott loss);
+  Gilbert–Elliott loss), and the scale-free network build at least 3x
+  faster than its recorded parent row (batched BFS routing);
 * a *live* re-measurement (``-m slow``, run with the other scale
   benchmarks) must land inside a generous tolerance band of the recorded
-  medians, so a silent performance cliff in either scan engine or in the
-  Gilbert–Elliott loss layer fails the bench step instead of shipping
-  unnoticed.
+  medians, so a silent performance cliff in either scan engine, in the
+  Gilbert–Elliott loss layer or in routing fails the bench step instead
+  of shipping unnoticed.
 
 The band is wide (``ENVELOPE = 4``) because shared CI machines jitter by
 integer factors; the test is a cliff detector, not a microbenchmark.
@@ -50,6 +51,12 @@ LARGE_SCALE = (
 EXTENSIONS = (
     "test_bench_extension_burstiness",
 )
+ROUTING = (
+    "test_bench_network_build_scalefree",
+)
+#: The routing row recorded on the same machine before the batched search
+#: (one pure-Python BFS per session, repeated for the single-rate copy).
+ROUTING_PARENT = "test_bench_network_build_scalefree[parent]"
 #: The burstiness row recorded on the same machine before Gilbert–Elliott
 #: loss became split-invariant (RNG scheme 4: sampled once per time unit).
 BURSTINESS_SCHEME_4 = "test_bench_extension_burstiness[rng-scheme-4]"
@@ -67,7 +74,7 @@ class TestRecordedBaseline:
 
     def test_baseline_records_every_tracked_benchmark(self):
         stats = _recorded_stats()
-        for name in ENGINE_COMPARISON + FIGURE8_PANELS + LARGE_SCALE + EXTENSIONS:
+        for name in ENGINE_COMPARISON + FIGURE8_PANELS + LARGE_SCALE + EXTENSIONS + ROUTING:
             assert name in stats, f"BENCH_core.json lost {name}"
             for field in ("mean", "median", "min"):
                 assert stats[name][field] > 0.0
@@ -100,6 +107,16 @@ class TestRecordedBaseline:
         before = stats[BURSTINESS_SCHEME_4]["median"]
         after = stats["test_bench_extension_burstiness"]["median"]
         assert before / after >= 1.5
+
+    def test_recorded_routing_speedup_meets_target(self):
+        # Batched BFS routing, shared by the single-rate copy: placing and
+        # routing 300 sessions x 8 receivers on a 5 000-node BA graph plus
+        # the single-rate copy must be at least 3x faster than the parent's
+        # row from the same machine.
+        stats = _recorded_stats()
+        before = stats[ROUTING_PARENT]["median"]
+        after = stats["test_bench_network_build_scalefree"]["median"]
+        assert before / after >= 3.0
 
     def test_recorded_compiled_speedup_meets_target(self):
         # The compiled (numba) row only exists in baselines regenerated on
@@ -144,6 +161,20 @@ class TestLiveEnvelope:
         elapsed = _timed(run_burstiness)
         assert recorded / ENVELOPE <= elapsed <= recorded * ENVELOPE, (
             f"burstiness took {elapsed:.3f}s; recorded median "
+            f"{recorded:.3f}s (envelope x{ENVELOPE})"
+        )
+
+    def test_network_build_within_envelope(self):
+        from repro.network.topology.generators import barabasi_albert
+        from test_bench_large_scale import build_scalefree_network_pair
+
+        recorded = _recorded_stats()["test_bench_network_build_scalefree"]["median"]
+        elapsed = min(
+            _timed(build_scalefree_network_pair, barabasi_albert(5000, 2, seed=7))
+            for _ in range(2)
+        )
+        assert recorded / ENVELOPE <= elapsed <= recorded * ENVELOPE, (
+            f"scale-free network build took {elapsed:.3f}s; recorded median "
             f"{recorded:.3f}s (envelope x{ENVELOPE})"
         )
 

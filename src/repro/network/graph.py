@@ -9,20 +9,37 @@ per-direction capacity can be modelled as two parallel links.
 This module provides :class:`Link` and :class:`NetworkGraph`.  The graph is
 deliberately small and explicit rather than a thin wrapper over ``networkx``:
 fairness algorithms index links by integer id constantly and benefit from the
-direct list/dict representation.  A :meth:`NetworkGraph.to_networkx` bridge is
-provided for interoperability (e.g. drawing, alternative routing).
+direct list/dict representation.  Minimum-hop routing runs one batched
+breadth-first search in NumPy over a CSR adjacency cached on the graph
+(:meth:`NetworkGraph.shortest_path_trees`).  A
+:meth:`NetworkGraph.to_networkx` bridge is provided for interoperability
+(e.g. drawing, alternative routing); ``networkx`` is an optional dependency,
+imported only when the bridge is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+import numpy as np
 
-from ..errors import NetworkModelError
+from ..errors import NetworkModelError, RoutingError
 
-__all__ = ["Link", "NetworkGraph"]
+if TYPE_CHECKING:  # pragma: no cover - optional dependency, imported on use
+    import networkx as nx
+
+__all__ = ["Link", "NetworkGraph", "unreachable_error"]
+
+#: Cells (sources x (nodes + adjacency entries)) one batch of the search
+#: may touch: the batch's parent-link table, rank buffer and frontier
+#: expansions stay around 1 MB however many sources a call routes.
+_SEARCH_BATCH_CELLS = 1 << 17
+
+#: Parent-link sentinels of the search table.
+_UNSEEN = -1
+_SOURCE = -2
 
 
 @dataclass(frozen=True)
@@ -106,11 +123,12 @@ class NetworkGraph:
 
     def __init__(self, nodes: Optional[Iterable[str]] = None) -> None:
         self._nodes: List[str] = []
-        self._node_set: Set[str] = set()
+        self._node_index: Dict[str, int] = {}
         self._links: List[Link] = []
         self._incident: Dict[str, List[int]] = {}
         self._link_name_index: Dict[str, int] = {}
         self._capacities_cache: Optional[List[float]] = None
+        self._adjacency_cache: Optional[Tuple[np.ndarray, ...]] = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -122,10 +140,11 @@ class NetworkGraph:
         """Register a node.  Adding an existing node is a no-op."""
         if not isinstance(name, str) or not name:
             raise NetworkModelError(f"node name must be a non-empty string, got {name!r}")
-        if name not in self._node_set:
-            self._node_set.add(name)
+        if name not in self._node_index:
+            self._node_index[name] = len(self._nodes)
             self._nodes.append(name)
             self._incident[name] = []
+            self._adjacency_cache = None
         return name
 
     def add_link(self, u: str, v: str, capacity: float, name: str = "") -> Link:
@@ -152,6 +171,7 @@ class NetworkGraph:
         self._incident[u].append(link.link_id)
         self._incident[v].append(link.link_id)
         self._capacities_cache = None
+        self._adjacency_cache = None
         return link
 
     # ------------------------------------------------------------------
@@ -176,7 +196,7 @@ class NetworkGraph:
         return len(self._links)
 
     def has_node(self, name: str) -> bool:
-        return name in self._node_set
+        return name in self._node_index
 
     def link(self, link_id: int) -> Link:
         """Return the link with the given id."""
@@ -204,7 +224,7 @@ class NetworkGraph:
 
     def incident_links(self, node: str) -> List[int]:
         """Ids of links incident to ``node``."""
-        if node not in self._node_set:
+        if node not in self._node_index:
             raise NetworkModelError(f"unknown node {node!r}")
         return list(self._incident[node])
 
@@ -236,6 +256,141 @@ class NetworkGraph:
     # ------------------------------------------------------------------
     # path finding
     # ------------------------------------------------------------------
+    def _adjacency(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSR adjacency ``(ptr, far, via, ends)``, cached until the graph grows.
+
+        Entries ``ptr[i]:ptr[i + 1]`` belong to node ``i`` (insertion order)
+        and list its incident links in ascending id, the order of
+        :meth:`incident_links`: ``via`` holds the link id and ``far`` the
+        node index at its other end.  ``ends[j]`` is the sum of link ``j``'s
+        endpoint indices, so ``ends[j] - i`` crosses link ``j`` from node ``i``.
+        """
+        if self._adjacency_cache is None:
+            index = self._node_index
+            count = len(self._links)
+            u = np.fromiter((index[link.u] for link in self._links), dtype=np.intp, count=count)
+            v = np.fromiter((index[link.v] for link in self._links), dtype=np.intp, count=count)
+            ends = u + v
+            degrees = [len(self._incident[node]) for node in self._nodes]
+            via = np.fromiter(
+                chain.from_iterable(self._incident[node] for node in self._nodes),
+                dtype=np.intp,
+                count=2 * count,
+            )
+            ptr = np.zeros(len(self._nodes) + 1, dtype=np.intp)
+            np.cumsum(degrees, out=ptr[1:])
+            far = ends[via] - np.repeat(np.arange(len(self._nodes)), degrees)
+            self._adjacency_cache = (ptr, far, via, ends)
+        return self._adjacency_cache
+
+    def _search(
+        self, sources: np.ndarray, goals: Sequence[np.ndarray]
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Breadth-first search from many sources at once, one level at a time.
+
+        Yields ``(start, parent)`` per batch of sources: row ``b`` of the
+        int32 ``parent`` table belongs to ``sources[start + b]`` and holds,
+        for every node index, the link the search first reached that node
+        by (``_SOURCE`` at the source, ``_UNSEEN`` where it never arrived).
+        A source stops expanding once all of its ``goals`` are reached.
+
+        Within a source, frontier nodes expand in discovery order and each
+        node's links in ascending id, exactly as a queue-driven BFS would,
+        and a node's parent link is its first discovery in that flat order.
+        ``np.minimum.at`` over a rank buffer picks that first discovery
+        without sorting and without relying on the write order of fancy
+        assignment.
+        """
+        ptr, far, via, _ = self._adjacency()
+        n = len(self._nodes)
+        batch = max(1, _SEARCH_BATCH_CELLS // (n + len(far)))
+        unranked = np.iinfo(np.intp).max
+        rank = np.full(min(batch, len(sources)) * n, unranked, dtype=np.intp)
+        for start in range(0, len(sources), batch):
+            stop = start + batch
+            rows = np.arange(len(sources[start:stop])) * n
+            parent = np.full(rows.size * n, _UNSEEN, dtype=np.int32)
+            frontier = rows + sources[start:stop]
+            parent[frontier] = _SOURCE
+            goal_owner = np.repeat(np.arange(rows.size), [goal.size for goal in goals[start:stop]])
+            goal_cells = rows[goal_owner] + np.concatenate(goals[start:stop])
+            while frontier.size:
+                # Sources whose goals are all reached stop expanding.
+                pending = goal_owner[parent[goal_cells] == _UNSEEN]
+                live = np.bincount(pending, minlength=rows.size) > 0
+                frontier = frontier[live[frontier // n]]
+                nodes = frontier % n
+                first = ptr[nodes]
+                counts = ptr[nodes + 1] - first
+                offsets = np.cumsum(counts) - counts
+                entries = np.repeat(first - offsets, counts) + np.arange(int(counts.sum()))
+                cells = np.repeat(frontier - nodes, counts) + far[entries]
+                fresh = parent[cells] == _UNSEEN
+                cells, entries = cells[fresh], entries[fresh]
+                order = np.arange(cells.size)
+                np.minimum.at(rank, cells, order)
+                winners = rank[cells] == order
+                rank[cells] = unranked
+                frontier = cells[winners]
+                parent[frontier] = via[entries[winners]]
+            yield start, parent.reshape(rows.size, n)
+
+    def shortest_path_trees(
+        self, requests: Sequence[Tuple[str, Iterable[str]]]
+    ) -> List[Dict[str, List[int]]]:
+        """Minimum-hop paths for many ``(source, targets)`` requests at once.
+
+        Entry ``i`` maps every target of request ``i`` to the link ids of its
+        path from the source (``[]`` for the source itself); targets in
+        another component are left out.  Ties are broken deterministically
+        by preferring lower link ids, so repeated calls yield the same
+        routes.  All requests share one batched search (:meth:`_search`), so
+        routing every session of a network costs a few NumPy passes per BFS
+        level instead of a Python loop over every link.
+        """
+        index = self._node_index
+        sources: List[int] = []
+        goals: List[np.ndarray] = []
+        names: List[List[str]] = []
+        for source, targets in requests:
+            if source not in index:
+                raise NetworkModelError(f"unknown source node {source!r}")
+            targets = list(targets)
+            for target in targets:
+                if target not in index:
+                    raise NetworkModelError(f"unknown target node {target!r}")
+            sources.append(index[source])
+            goals.append(np.array([index[target] for target in targets], dtype=np.intp))
+            names.append(targets)
+        ends = self._adjacency()[3]
+        trees: List[Dict[str, List[int]]] = []
+        for start, parent in self._search(np.array(sources, dtype=np.intp), goals):
+            stop = start + len(parent)
+            paths = iter(_walk_back(parent, goals[start:stop], ends))
+            for targets in names[start:stop]:
+                tree: Dict[str, List[int]] = {}
+                for target in targets:
+                    path = next(paths)
+                    if path is not None:
+                        tree[target] = path
+                trees.append(tree)
+        return trees
+
+    def shortest_path_tree(
+        self, source: str, targets: Iterable[str]
+    ) -> Dict[str, List[int]]:
+        """Minimum-hop paths from ``source`` to every node in ``targets``.
+
+        The single-request form of :meth:`shortest_path_trees`.  Raises
+        :class:`RoutingError` naming every unreachable target.
+        """
+        targets = list(targets)
+        tree = self.shortest_path_trees([(source, targets)])[0]
+        stranded = [target for target in targets if target not in tree]
+        if stranded:
+            raise unreachable_error(source, stranded)
+        return tree
+
     def shortest_path_links(self, source: str, target: str) -> List[int]:
         """Return link ids of a minimum-hop path from ``source`` to ``target``.
 
@@ -243,113 +398,26 @@ class NetworkGraph:
         repeated calls yield the same route.  Raises :class:`RoutingError`
         (via :class:`NetworkModelError` subclassing) if no path exists.
         """
-        from ..errors import RoutingError
-
-        if source not in self._node_set:
-            raise NetworkModelError(f"unknown source node {source!r}")
-        if target not in self._node_set:
-            raise NetworkModelError(f"unknown target node {target!r}")
-        if source == target:
-            return []
-
-        # Breadth-first search over nodes, remembering the link taken.
-        prev: Dict[str, Tuple[str, int]] = {}
-        frontier = [source]
-        visited = {source}
-        while frontier:
-            next_frontier: List[str] = []
-            for node in frontier:
-                for link_id in self._incident[node]:
-                    other = self._links[link_id].other_end(node)
-                    if other in visited:
-                        continue
-                    visited.add(other)
-                    prev[other] = (node, link_id)
-                    if other == target:
-                        return self._reconstruct(prev, source, target)
-                    next_frontier.append(other)
-            frontier = next_frontier
-        raise RoutingError(f"no path from {source!r} to {target!r}")
-
-    def _reconstruct(
-        self, prev: Dict[str, Tuple[str, int]], source: str, target: str
-    ) -> List[int]:
-        path: List[int] = []
-        node = target
-        while node != source:
-            parent, link_id = prev[node]
-            path.append(link_id)
-            node = parent
-        path.reverse()
+        path = self.shortest_path_trees([(source, [target])])[0].get(target)
+        if path is None:
+            raise RoutingError(f"no path from {source!r} to {target!r}")
         return path
-
-    def shortest_path_tree(
-        self, source: str, targets: Iterable[str]
-    ) -> Dict[str, List[int]]:
-        """Minimum-hop paths from ``source`` to every node in ``targets``.
-
-        One breadth-first search serves all targets, visiting nodes in the
-        exact order :meth:`shortest_path_links` would, so the returned paths
-        are link-for-link identical to per-target searches — sessions with
-        many receivers route in O(V + E) instead of O(k (V + E)).  The
-        search stops as soon as every target has been discovered.  Raises
-        :class:`RoutingError` naming every unreachable target.
-        """
-        from ..errors import RoutingError
-
-        if source not in self._node_set:
-            raise NetworkModelError(f"unknown source node {source!r}")
-        targets = list(targets)
-        for target in targets:
-            if target not in self._node_set:
-                raise NetworkModelError(f"unknown target node {target!r}")
-        remaining = set(targets) - {source}
-        prev: Dict[str, Tuple[str, int]] = {}
-        frontier = [source]
-        visited = {source}
-        while frontier and remaining:
-            next_frontier: List[str] = []
-            for node in frontier:
-                for link_id in self._incident[node]:
-                    other = self._links[link_id].other_end(node)
-                    if other in visited:
-                        continue
-                    visited.add(other)
-                    prev[other] = (node, link_id)
-                    remaining.discard(other)
-                    next_frontier.append(other)
-            frontier = next_frontier
-        if remaining:
-            unreachable = ", ".join(repr(node) for node in sorted(remaining))
-            raise RoutingError(
-                f"no path from {source!r} to node(s) {unreachable}: the graph "
-                "is disconnected between them"
-            )
-        return {
-            target: ([] if target == source else self._reconstruct(prev, source, target))
-            for target in targets
-        }
 
     def is_connected(self) -> bool:
         """True if every node is reachable from every other node."""
         if self.num_nodes <= 1:
             return True
-        start = self._nodes[0]
-        visited = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in self.neighbors(node):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    frontier.append(neighbor)
-        return len(visited) == self.num_nodes
+        everything = np.arange(self.num_nodes, dtype=np.intp)
+        _, parent = next(self._search(np.zeros(1, dtype=np.intp), [everything]))
+        return bool((parent != _UNSEEN).all())
 
     # ------------------------------------------------------------------
     # interoperability
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.MultiGraph:
         """Convert to a :class:`networkx.MultiGraph` with capacity attributes."""
+        import networkx as nx
+
         graph = nx.MultiGraph()
         graph.add_nodes_from(self._nodes)
         for link in self._links:
@@ -374,3 +442,42 @@ class NetworkGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NetworkGraph(nodes={self.num_nodes}, links={self.num_links})"
+
+
+def unreachable_error(source: str, targets: Iterable[str]) -> RoutingError:
+    """The :class:`RoutingError` for ``targets`` cut off from ``source``."""
+    unreachable = ", ".join(repr(node) for node in sorted(set(targets)))
+    return RoutingError(
+        f"no path from {source!r} to node(s) {unreachable}: the graph "
+        "is disconnected between them"
+    )
+
+
+def _walk_back(
+    parent: np.ndarray, goals: Sequence[np.ndarray], ends: np.ndarray
+) -> List[Optional[List[int]]]:
+    """Link-id paths from each row's source to its goals (``None`` if unreached).
+
+    Follows the parent links of :meth:`NetworkGraph._search` back from
+    every goal of the batch at once, one hop per step, then reverses each
+    hop list into source-to-goal order.
+    """
+    owner = np.repeat(np.arange(len(parent)), [goal.size for goal in goals])
+    node = np.concatenate(goals)
+    reached = parent[owner, node] != _UNSEEN
+    hops: List[np.ndarray] = []
+    walking = np.flatnonzero(reached)
+    while True:
+        link = parent[owner[walking], node[walking]]
+        walking, link = walking[link >= 0], link[link >= 0]
+        if not walking.size:
+            break
+        column = np.full(node.size, -1, dtype=np.intp)
+        column[walking] = link
+        hops.append(column)
+        node[walking] = ends[link] - node[walking]
+    table = np.stack(hops, axis=1).tolist() if hops else [[] for _ in node]
+    return [
+        [link for link in reversed(row) if link >= 0] if ok else None
+        for row, ok in zip(table, reached.tolist())
+    ]

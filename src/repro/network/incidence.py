@@ -292,14 +292,16 @@ class NetworkIncidence:
         """Boolean mask of receivers whose data-path crosses any of ``links``.
 
         The CSR twin of ``membership[:, links].any(axis=1)``: gathers the
-        transposed index slices and scatters them into a mask, costing
-        O(total receivers on those links) instead of O(R x |links|).
+        transposed index slices in one pass and scatters them into a mask,
+        costing O(total receivers on those links) instead of O(R x |links|).
         """
         mask = np.zeros(self.num_receivers, dtype=bool)
-        ptr = self.link_receiver_ptr
-        indices = self.link_receiver_indices
-        for link in links:
-            mask[indices[ptr[link]:ptr[link + 1]]] = True
+        links = np.asarray(links, dtype=np.intp)
+        first = self.link_receiver_ptr[links]
+        counts = self.link_receiver_ptr[links + 1] - first
+        offsets = np.cumsum(counts) - counts
+        entries = np.repeat(first - offsets, counts) + np.arange(int(counts.sum()))
+        mask[self.link_receiver_indices[entries]] = True
         return mask
 
     def scalar_view(self) -> ScalarIncidenceView:

@@ -59,6 +59,11 @@ class Network:
         self._validate_sessions()
         self._routing_strategy = routing if routing is not None else ShortestPathRouting()
         self._routing = self._routing_strategy.build(graph, self._sessions)
+        self._set_link_rate_functions(link_rate_functions)
+
+    def _set_link_rate_functions(
+        self, link_rate_functions: Optional[Mapping[int, LinkRateFunction]]
+    ) -> None:
         self._incidence: Optional[NetworkIncidence] = None
         self._link_rate_functions: Dict[int, LinkRateFunction] = dict(link_rate_functions or {})
         for session_id in self._link_rate_functions:
@@ -66,6 +71,25 @@ class Network:
                 raise NetworkModelError(
                     f"link-rate function supplied for unknown session id {session_id}"
                 )
+
+    def _same_members(
+        self,
+        sessions: Sequence[Session],
+        link_rate_functions: Optional[Mapping[int, LinkRateFunction]],
+    ) -> "Network":
+        """A copy over the same members, sharing this network's routing table.
+
+        ``sessions`` must keep every session's sender and receivers; only
+        types may differ.  Membership fixes the data-paths, so the copy
+        skips routing.
+        """
+        copy = object.__new__(Network)
+        copy._graph = self._graph
+        copy._sessions = tuple(sessions)
+        copy._routing_strategy = self._routing_strategy
+        copy._routing = self._routing
+        copy._set_link_rate_functions(link_rate_functions)
+        return copy
 
     def _validate_sessions(self) -> None:
         if not self._sessions:
@@ -275,7 +299,8 @@ class Network:
 
         This realises the paper's "replacement" of a session by an identical
         session of the other type (same members, same topology) used in
-        Lemma 3 and Corollary 1.
+        Lemma 3 and Corollary 1.  Members are unchanged, so the copy shares
+        this network's routing table instead of routing again.
         """
         new_sessions = []
         for session in self._sessions:
@@ -283,12 +308,7 @@ class Network:
                 new_sessions.append(session.with_type(types[session.session_id]))
             else:
                 new_sessions.append(session)
-        return Network(
-            self._graph,
-            new_sessions,
-            routing=self._routing_strategy,
-            link_rate_functions=self._link_rate_functions,
-        )
+        return self._same_members(new_sessions, self._link_rate_functions)
 
     def with_all_multi_rate(self) -> "Network":
         """Return a copy where every session is multi-rate."""
@@ -308,14 +328,10 @@ class Network:
         """Return a copy with the given per-session link-rate functions ``v_i``.
 
         Functions supplied here replace the whole mapping (sessions absent
-        from ``functions`` revert to the efficient link rate).
+        from ``functions`` revert to the efficient link rate).  The copy
+        shares this network's routing table.
         """
-        return Network(
-            self._graph,
-            self._sessions,
-            routing=self._routing_strategy,
-            link_rate_functions=functions,
-        )
+        return self._same_members(self._sessions, functions)
 
     def without_receiver(self, receiver_id: ReceiverId) -> "Network":
         """Return a copy with one receiver removed from its session.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from ..errors import RoutingError
-from .graph import NetworkGraph
+from .graph import NetworkGraph, unreachable_error
 from .session import Receiver, ReceiverId, Session
 
 __all__ = [
@@ -56,7 +56,6 @@ class RoutingTable:
         paths: Mapping[ReceiverId, Sequence[int]],
     ) -> None:
         self._graph = graph
-        self._sessions = tuple(sessions)
         self._paths: Dict[ReceiverId, Tuple[int, ...]] = {}
         for session in sessions:
             for receiver in session.receivers:
@@ -179,42 +178,28 @@ class ShortestPathRouting(RoutingStrategy):
     Each receiver's data-path is the breadth-first shortest path from its
     session's sender node.  Because the underlying search prefers lower link
     ids, repeated builds of the same network yield identical routes, which
-    keeps experiments reproducible.
+    keeps experiments reproducible.  Every session is routed by one batched
+    search (:meth:`NetworkGraph.shortest_path_trees`).
     """
 
     def build(self, graph: NetworkGraph, sessions: Sequence[Session]) -> RoutingTable:
+        trees = graph.shortest_path_trees(
+            [(s.sender.node, [r.node for r in s.receivers]) for s in sessions]
+        )
         paths: Dict[ReceiverId, Sequence[int]] = {}
-        for session in sessions:
-            targets = [receiver.node for receiver in session.receivers]
-            try:
-                tree = graph.shortest_path_tree(session.sender.node, targets)
-            except RoutingError as exc:
-                reachable = _reachable_from(graph, session.sender.node)
-                stranded = sorted(
-                    receiver.name for receiver in session.receivers
-                    if receiver.node not in reachable
-                )
+        for session, tree in zip(sessions, trees):
+            stranded = [r for r in session.receivers if r.node not in tree]
+            if stranded:
+                exc = unreachable_error(session.sender.node, (r.node for r in stranded))
                 raise RoutingError(
-                    f"session {session.name}: receiver(s) {', '.join(stranded)} "
+                    f"session {session.name}: receiver(s) "
+                    f"{', '.join(sorted(r.name for r in stranded))} "
                     f"are disconnected from sender node {session.sender.node!r} "
                     f"({exc})"
                 ) from exc
             for receiver in session.receivers:
                 paths[receiver.receiver_id] = tree[receiver.node]
         return RoutingTable(graph, sessions, paths)
-
-
-def _reachable_from(graph: NetworkGraph, source: str) -> Set[str]:
-    """Node names reachable from ``source`` (used for error reporting only)."""
-    visited = {source}
-    frontier = [source]
-    while frontier:
-        node = frontier.pop()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in visited:
-                visited.add(neighbor)
-                frontier.append(neighbor)
-    return visited
 
 
 class ExplicitRouting(RoutingStrategy):

@@ -139,3 +139,22 @@ def test_sparse_membership_matches_dense():
     np.testing.assert_array_equal(
         sparse.receivers_on_links(links), dense.membership[:, links].any(axis=1)
     )
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TOPOLOGIES))
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_receivers_on_links_matches_membership_columns(name, sparse):
+    """The one-pass CSR gather equals the dense column test on any link set."""
+    incidence = NetworkIncidence(BUILTIN_TOPOLOGIES[name](), sparse=sparse)
+    membership = incidence.membership
+    rng = np.random.default_rng(7)
+    num_links = incidence.num_links
+    subsets = [
+        np.arange(0),
+        np.arange(num_links),
+        np.array([num_links - 1, 0, num_links - 1]),  # unordered, repeated
+    ] + [rng.choice(num_links, size=rng.integers(1, num_links + 1)) for _ in range(5)]
+    for links in subsets:
+        np.testing.assert_array_equal(
+            incidence.receivers_on_links(links), membership[:, links].any(axis=1)
+        )

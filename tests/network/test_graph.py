@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
-import networkx as nx
 import pytest
 
 from repro.errors import NetworkModelError, RoutingError
@@ -173,6 +175,7 @@ class TestNetworkGraph:
         assert NetworkGraph(nodes=["only"]).is_connected()
 
     def test_networkx_round_trip(self):
+        nx = pytest.importorskip("networkx")
         graph = NetworkGraph()
         graph.add_link("a", "b", capacity=4.0)
         graph.add_link("b", "c", capacity=6.0)
@@ -183,6 +186,7 @@ class TestNetworkGraph:
         assert sorted(rebuilt.capacities()) == [4.0, 6.0]
 
     def test_from_networkx_requires_capacity(self):
+        nx = pytest.importorskip("networkx")
         nx_graph = nx.Graph()
         nx_graph.add_edge("a", "b")
         with pytest.raises(NetworkModelError):
@@ -194,3 +198,23 @@ class TestNetworkGraph:
         graph.add_link("b", "c", capacity=1.0)
         assert len(graph) == 2
         assert [link.link_id for link in graph] == [0, 1]
+
+
+def test_routing_loads_neither_networkx_nor_scipy_sparse():
+    # networkx is an optional dependency (only the bridge above uses it),
+    # and routing must not pull in scipy.sparse.  Checked in a fresh
+    # interpreter, since this one may have imported either already.
+    import repro
+
+    probe = (
+        "import sys, repro, repro.experiments.registry\n"
+        "from repro.network.network import Network\n"
+        "from repro.network.topology.generators import barabasi_albert\n"
+        "net = Network.from_graph(barabasi_albert(60, 2, seed=1), num_sessions=4, seed=2)\n"
+        "net.with_all_single_rate()\n"
+        "sys.exit('networkx' in sys.modules or 'scipy.sparse' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
