@@ -21,6 +21,7 @@ from repro.core import max_min_fair_allocation
 from repro.network import random_multicast_network
 from repro.network.network import Network
 from repro.network.topology.generators import barabasi_albert
+from repro.network.topology.metrics import edge_betweenness
 from repro.protocols import make_protocol
 from repro.simulator import simulate_star, uniform_star
 
@@ -86,6 +87,23 @@ def test_bench_network_build_scalefree(benchmark):
     )
     assert network.num_receivers == single.num_receivers == 2400
     assert single.single_rate_session_ids() == frozenset(range(300))
+
+
+def test_bench_edge_betweenness(benchmark):
+    """Exact edge betweenness on a 1 000-node Barabasi-Albert graph (m=2).
+
+    The ``scalefree_bottleneck`` experiment's betweenness pass at paper
+    scale.  Each round runs on a freshly generated graph (generated outside
+    the timer), so the cached adjacency is built inside the measurement.
+    """
+    betweenness = benchmark.pedantic(
+        edge_betweenness,
+        setup=lambda: ((barabasi_albert(1000, 2, seed=7),), {}),
+        rounds=5,
+        iterations=1,
+    )
+    assert betweenness.shape == (1997,)
+    assert betweenness.min() >= 1.0  # every link carries at least its own pair
 
 
 @pytest.mark.parametrize("method", ["vectorized", "reference"])

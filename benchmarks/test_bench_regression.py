@@ -12,12 +12,14 @@ performance tracking):
   drain's acceptance ratio), and the reduced burstiness sweep at least
   1.5x faster than its recorded RNG-scheme-4 row (split-invariant
   Gilbert–Elliott loss), and the scale-free network build at least 3x
-  faster than its recorded parent row (batched BFS routing);
+  faster than its recorded parent row (batched BFS routing), and the exact
+  edge betweenness pass at least 3x faster than its recorded parent row
+  (batched Brandes);
 * a *live* re-measurement (``-m slow``, run with the other scale
   benchmarks) must land inside a generous tolerance band of the recorded
   medians, so a silent performance cliff in either scan engine, in the
-  Gilbert–Elliott loss layer or in routing fails the bench step instead
-  of shipping unnoticed.
+  Gilbert–Elliott loss layer, in routing or in betweenness fails the bench
+  step instead of shipping unnoticed.
 
 The band is wide (``ENVELOPE = 4``) because shared CI machines jitter by
 integer factors; the test is a cliff detector, not a microbenchmark.
@@ -57,6 +59,12 @@ ROUTING = (
 #: The routing row recorded on the same machine before the batched search
 #: (one pure-Python BFS per session, repeated for the single-rate copy).
 ROUTING_PARENT = "test_bench_network_build_scalefree[parent]"
+BETWEENNESS = (
+    "test_bench_edge_betweenness",
+)
+#: The betweenness row recorded on the same machine before the batched
+#: Brandes pass (one pure-Python dict-and-deque loop per source).
+BETWEENNESS_PARENT = "test_bench_edge_betweenness[parent]"
 #: The burstiness row recorded on the same machine before Gilbert–Elliott
 #: loss became split-invariant (RNG scheme 4: sampled once per time unit).
 BURSTINESS_SCHEME_4 = "test_bench_extension_burstiness[rng-scheme-4]"
@@ -74,7 +82,9 @@ class TestRecordedBaseline:
 
     def test_baseline_records_every_tracked_benchmark(self):
         stats = _recorded_stats()
-        for name in ENGINE_COMPARISON + FIGURE8_PANELS + LARGE_SCALE + EXTENSIONS + ROUTING:
+        for name in (
+            ENGINE_COMPARISON + FIGURE8_PANELS + LARGE_SCALE + EXTENSIONS + ROUTING + BETWEENNESS
+        ):
             assert name in stats, f"BENCH_core.json lost {name}"
             for field in ("mean", "median", "min"):
                 assert stats[name][field] > 0.0
@@ -116,6 +126,15 @@ class TestRecordedBaseline:
         stats = _recorded_stats()
         before = stats[ROUTING_PARENT]["median"]
         after = stats["test_bench_network_build_scalefree"]["median"]
+        assert before / after >= 3.0
+
+    def test_recorded_betweenness_speedup_meets_target(self):
+        # Batched Brandes pass over the cached CSR adjacency: exact edge
+        # betweenness on a 1 000-node BA graph must be at least 3x faster
+        # than the parent's row from the same machine.
+        stats = _recorded_stats()
+        before = stats[BETWEENNESS_PARENT]["median"]
+        after = stats["test_bench_edge_betweenness"]["median"]
         assert before / after >= 3.0
 
     def test_recorded_compiled_speedup_meets_target(self):
@@ -175,6 +194,20 @@ class TestLiveEnvelope:
         )
         assert recorded / ENVELOPE <= elapsed <= recorded * ENVELOPE, (
             f"scale-free network build took {elapsed:.3f}s; recorded median "
+            f"{recorded:.3f}s (envelope x{ENVELOPE})"
+        )
+
+    def test_edge_betweenness_within_envelope(self):
+        from repro.network.topology.generators import barabasi_albert
+        from repro.network.topology.metrics import edge_betweenness
+
+        recorded = _recorded_stats()["test_bench_edge_betweenness"]["median"]
+        elapsed = min(
+            _timed(edge_betweenness, barabasi_albert(1000, 2, seed=7))
+            for _ in range(2)
+        )
+        assert recorded / ENVELOPE <= elapsed <= recorded * ENVELOPE, (
+            f"edge betweenness took {elapsed:.3f}s; recorded median "
             f"{recorded:.3f}s (envelope x{ENVELOPE})"
         )
 

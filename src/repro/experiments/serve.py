@@ -29,7 +29,10 @@ Every response carries ``ok`` (boolean), the echoed ``op``, and
 ``cache`` (``"hit"`` — served from the store; ``"miss"`` — simulated by
 this request; ``"join"`` — coalesced onto a concurrent identical miss),
 the content ``address``, the ``verdict`` dict, and (unless
-``include_result`` is false) the full result envelope dict.
+``include_result`` is false) the full result envelope dict.  A line that
+is not a JSON request is answered with ``"op": "invalid"`` and counted as
+an error; a line longer than :data:`MAX_REQUEST_BYTES` (64 KiB) is
+answered the same way, then its connection is closed.
 
 Lifecycle: ``shutdown`` (or SIGINT/SIGTERM) stops accepting requests,
 then drains the worker pool — every in-flight task finishes and is
@@ -71,6 +74,11 @@ PROTOCOL_VERSION = 1
 
 #: Operations understood by the service.
 OPS = ("ping", "run", "stats", "experiments", "shutdown")
+
+#: Longest request line the daemon reads, newline included.  A longer line
+#: is answered with an ``invalid`` error and its connection is closed, so
+#: one client cannot make the daemon buffer an unbounded line.
+MAX_REQUEST_BYTES = 64 * 1024
 
 
 class _Latency:
@@ -172,14 +180,21 @@ class ExperimentService:
             response = getattr(self, f"_op_{op}")(payload)
             response["ok"] = True
         except ReproError as error:
-            with self._lock:
-                self._counters["errors"] += 1
             response = {"ok": False, "error": str(error)}
+        return self._record(op_name, response, start)
+
+    def refuse(self, reason: str) -> Dict[str, Any]:
+        """Answer a line that is no request (not JSON, or over-long); never raises."""
+        return self._record("invalid", {"ok": False, "error": reason}, time.perf_counter())
+
+    def _record(self, op_name: str, response: Dict[str, Any], start: float) -> Dict[str, Any]:
         elapsed = time.perf_counter() - start
         response["op"] = op_name
         response["elapsed_seconds"] = elapsed
         with self._lock:
             self._counters["requests"] += 1
+            if not response["ok"]:
+                self._counters["errors"] += 1
             self._latency.setdefault(op_name, _Latency()).observe(elapsed)
         return response
 
@@ -304,24 +319,31 @@ class _RequestHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:  # noqa: D102 - socketserver hook
         service = self.server.service  # type: ignore[attr-defined]
-        for line in self.rfile:
-            line = line.strip()
+        while True:
+            line = self.rfile.readline(MAX_REQUEST_BYTES)
             if not line:
-                continue
-            try:
-                payload = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as error:
-                response = {
-                    "ok": False,
-                    "op": "invalid",
-                    "error": f"request is not valid JSON: {error}",
-                }
+                return
+            overlong = len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n")
+            if overlong:
+                response = service.refuse(
+                    f"request line is longer than {MAX_REQUEST_BYTES} bytes; closing the connection"
+                )
             else:
-                response = service.handle_request(payload)
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    payload = json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, ValueError) as error:
+                    response = service.refuse(f"request is not valid JSON: {error}")
+                else:
+                    response = service.handle_request(payload)
             try:
                 self.wfile.write(json.dumps(response, sort_keys=True).encode("utf-8") + b"\n")
                 self.wfile.flush()
             except OSError:  # pragma: no cover - client went away mid-response
+                return
+            if overlong:
                 return
             if response.get("ok") and response.get("op") == "shutdown":
                 self.server.begin_shutdown()  # type: ignore[attr-defined]

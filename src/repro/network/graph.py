@@ -32,9 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - optional dependency, imported on use
 
 __all__ = ["Link", "NetworkGraph", "unreachable_error"]
 
-#: Cells (sources x (nodes + adjacency entries)) one batch of the search
-#: may touch: the batch's parent-link table, rank buffer and frontier
-#: expansions stay around 1 MB however many sources a call routes.
+#: Cells (sources x (nodes + adjacency entries)) one batch of a
+#: multi-source search — routing here, edge betweenness in
+#: ``topology.metrics`` — may touch: the batch's per-cell tables and
+#: frontier expansions stay around 1-2 MB however many sources a call has.
 _SEARCH_BATCH_CELLS = 1 << 17
 
 #: Parent-link sentinels of the search table.
@@ -303,7 +304,7 @@ class NetworkGraph:
         """
         ptr, far, via, _ = self._adjacency()
         n = len(self._nodes)
-        batch = max(1, _SEARCH_BATCH_CELLS // (n + len(far)))
+        batch = _batch_size(ptr, far)
         unranked = np.iinfo(np.intp).max
         rank = np.full(min(batch, len(sources)) * n, unranked, dtype=np.intp)
         for start in range(0, len(sources), batch):
@@ -319,12 +320,7 @@ class NetworkGraph:
                 pending = goal_owner[parent[goal_cells] == _UNSEEN]
                 live = np.bincount(pending, minlength=rows.size) > 0
                 frontier = frontier[live[frontier // n]]
-                nodes = frontier % n
-                first = ptr[nodes]
-                counts = ptr[nodes + 1] - first
-                offsets = np.cumsum(counts) - counts
-                entries = np.repeat(first - offsets, counts) + np.arange(int(counts.sum()))
-                cells = np.repeat(frontier - nodes, counts) + far[entries]
+                entries, cells = _expand(ptr, far, frontier)
                 fresh = parent[cells] == _UNSEEN
                 cells, entries = cells[fresh], entries[fresh]
                 order = np.arange(cells.size)
@@ -451,6 +447,37 @@ def unreachable_error(source: str, targets: Iterable[str]) -> RoutingError:
         f"no path from {source!r} to node(s) {unreachable}: the graph "
         "is disconnected between them"
     )
+
+
+def _batch_size(ptr: np.ndarray, far: np.ndarray) -> int:
+    """Sources per batch of a multi-source search over the CSR ``(ptr, far)``.
+
+    Keeps a batch within ``_SEARCH_BATCH_CELLS`` cells of ``nodes +
+    adjacency entries`` per source, and at one source or more.
+    """
+    return max(1, _SEARCH_BATCH_CELLS // (len(ptr) - 1 + len(far)))
+
+
+def _expand(
+    ptr: np.ndarray, far: np.ndarray, frontier: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every adjacency entry out of a multi-source frontier, in one gather.
+
+    ``frontier`` holds cells ``row * n + node``.  Returns ``(entries,
+    cells)``: the CSR entry index of each link out of each frontier cell
+    and the cell at its far end, in flat order — frontier cells in the
+    order given, each node's links in ascending id, as a queue-driven
+    search would scan them.
+    """
+    nodes = frontier % (len(ptr) - 1)
+    first = ptr[nodes]
+    counts = ptr[nodes + 1] - first
+    offsets = np.cumsum(counts) - counts
+    entries = np.repeat(first - offsets, counts)
+    entries += np.arange(entries.size)
+    cells = np.repeat(frontier - nodes, counts)
+    cells += far[entries]
+    return entries, cells
 
 
 def _walk_back(

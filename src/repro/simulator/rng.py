@@ -1,7 +1,9 @@
-"""Counter-based random streams for the simulation engines (RNG scheme 4).
+"""Counter-based random streams for the simulation engines (RNG scheme 5).
 
-Scheme 4 replaces the single sequential generator of schemes 2/3 with a
-family of independent **Philox counter-based streams** derived from one
+The stream layout below dates from scheme 4; scheme 5 kept it and changed
+only how Gilbert–Elliott loss consumes its stream (see below).  Scheme 4
+replaced the single sequential generator of schemes 2/3 with a family of
+independent **Philox counter-based streams** derived from one
 :class:`numpy.random.SeedSequence` per run.  Every random quantity the
 simulator consumes is addressed by ``(seed, stream, position)``:
 
@@ -23,10 +25,12 @@ whole chunk of every stream in one call, the per-packet reference engine
 draws unit by unit, and both read bit-identical values — splitting a
 Philox stream's ``random`` calls never changes the values produced (the
 generator consumes its 64-bit counter blocks strictly sequentially; see
-``tests/simulator/test_loss.py``).  Stateful loss processes such as
-Gilbert–Elliott remain unit-granular in both engines (their block-sampling
-construction is not split-invariant), which keeps results independent of
-the batched engine's ``chunk_units`` knob.
+``tests/simulator/test_loss.py``).  Since scheme 5 every loss process is
+split-invariant, the stateful Gilbert–Elliott chain included: it draws its
+good/bad sojourns in fixed batches that depend only on the stream, so the
+engines sample it once per receiver per chunk, the reference loop samples
+it unit by unit, and both read the same outcomes whatever the
+``chunk_units`` knob.
 
 Keying the join draws per ``(seed, receiver)`` is what lets the batched
 scan materialise only the draws a receiver actually reaches: between two

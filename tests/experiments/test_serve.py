@@ -28,6 +28,7 @@ from repro.errors import ExperimentError
 from repro.experiments.api import ExperimentResult
 from repro.experiments.registry import get_experiment, register_module
 from repro.experiments.serve import (
+    MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ExperimentService,
     create_server,
@@ -97,6 +98,41 @@ class TestProtocol:
             finally:
                 connection.close()
             assert response["ok"] is False and response["op"] == "invalid"
+            stats = request(address, {"op": "stats"}, timeout=10.0)
+            assert stats["counters"]["errors"] == stats["counters"]["requests"] == 1
+
+    def test_overlong_line_is_refused_and_its_connection_closed(self, tmp_path):
+        log_path = str(tmp_path / "invocations.log")
+        with running_service(tmp_path) as (address, _service, _store):
+            hog = socket.create_connection(address, timeout=10.0)
+            try:
+                hog.sendall(b"x" * (70 * 1024) + b"\n")
+                with hog.makefile("rb") as reader:
+                    response = json.loads(reader.readline())
+                    try:
+                        rest = reader.readline()
+                    except ConnectionResetError:  # closed with the line's tail unread
+                        rest = b""
+            finally:
+                hog.close()
+            assert response["ok"] is False and response["op"] == "invalid"
+            assert str(MAX_REQUEST_BYTES) in response["error"]
+            assert rest == b""  # the daemon closed the connection
+            # Another client is still served, and a line just inside the
+            # bound is still read as a request.
+            assert request(address, {"op": "ping"}, timeout=10.0)["ok"]
+            padded = json.dumps({"op": "ping", "pad": "y" * (MAX_REQUEST_BYTES - 64)})
+            assert len(padded) + 1 <= MAX_REQUEST_BYTES
+            assert request(address, json.loads(padded), timeout=10.0)["ok"]
+            request(address, _probe_payload(log_path))
+            stats = request(address, {"op": "stats"}, timeout=10.0)
+            counters, latency = stats["counters"], stats["latency"]
+            # The refused line counts as one failed request; every request
+            # is in one latency bucket and every run is a hit or a miss.
+            assert counters["errors"] == 1 and latency["invalid"]["count"] == 1
+            assert counters["requests"] == 4  # the stats request not yet counted
+            assert counters["requests"] == sum(op["count"] for op in latency.values())
+            assert counters["hits"] + counters["misses"] == latency["run"]["count"] == 1
 
     def test_unknown_experiment_and_bad_spec_are_clean_errors(self, tmp_path):
         with running_service(tmp_path) as (address, _service, _store):
